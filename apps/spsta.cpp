@@ -2,7 +2,7 @@
 //
 // Drives exactly the same JSON-lines protocol as spsta_serviced, but
 // in-process: it builds the request lines a daemon client would send,
-// routes them through the batch scheduler, and prints the response lines.
+// executes them on an in-process service, and prints the response lines.
 // The service sits on the unified Analyzer API (spsta_api.hpp): each
 // loaded design keeps one Analyzer — and with it one compiled analysis
 // plan — warm across the requests of an invocation.
@@ -35,7 +35,6 @@
 namespace {
 
 using spsta::service::AnalysisService;
-using spsta::service::BatchScheduler;
 using spsta::service::Json;
 using spsta::service::Response;
 namespace transport = spsta::service::transport;
@@ -421,8 +420,7 @@ int main(int argc, char** argv) {
   }
 
   AnalysisService service;
-  BatchScheduler scheduler(service, 0);
-  const Response loaded = scheduler.run_one(load_request(target).dump());
+  const Response loaded = service.execute_line(load_request(target).dump());
   std::printf("%s\n", loaded.to_line().c_str());
   const std::string session = session_of(loaded);
   if (session.empty()) return finish(1);
@@ -434,7 +432,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "numeric option could not be parsed\n");
     return finish(2);
   }
-  const Response response = scheduler.run_one(req.dump());
+  const Response response = service.execute_line(req.dump());
   std::printf("%s\n", response.to_line().c_str());
   return finish(response.ok ? 0 : 1);
 }

@@ -1,14 +1,16 @@
 // spsta_serviced — the long-lived analysis daemon.
 //
-// Speaks the JSON-lines protocol over stdin/stdout: one request per line,
-// one response line per request, in order. Each loaded design is parsed
-// once and held in a unified Analyzer (spsta_api.hpp) whose compiled
-// analysis plan stays warm across requests; repeated analyses are served
-// from the result cache and ECO edits ride the incremental engine.
-// Malformed input yields structured error responses — nothing a client
-// sends kills the daemon.
+// Speaks the JSON-lines protocol over stdin/stdout (or, with --listen, over
+// TCP connections): one request per line, one response line per request,
+// in order. Every request runs through one sharded worker pool and every
+// reply leaves through one ordered writer, whatever the transport. Each
+// loaded design is parsed once and held in a unified Analyzer
+// (spsta_api.hpp) whose compiled analysis plan stays warm across requests;
+// repeated analyses are served from the result cache and ECO edits ride
+// the incremental engine. Malformed input yields structured error
+// responses — nothing a client sends kills the daemon.
 //
-//   $ spsta_serviced [--threads=N] [--no-batch]
+//   $ spsta_serviced [--workers=N] [--trace=FILE]
 //   {"id":1,"cmd":"load","circuit":"s27"}
 //   {"id":1,"ok":true,"result":{"session":"...","name":"s27",...}}
 //   {"id":2,"cmd":"analyze","session":"...","engine":"spsta_moment"}
@@ -32,8 +34,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--listen=", 0) == 0) {
       listen_spec = arg.substr(9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
     } else if (arg.rfind("--workers=", 0) == 0) {
       options.workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
     } else if (arg.rfind("--queue-cap=", 0) == 0) {
@@ -42,8 +42,6 @@ int main(int argc, char** argv) {
       budget.max_sessions = std::stoul(arg.substr(15));
     } else if (arg.rfind("--max-store-mb=", 0) == 0) {
       budget.max_bytes = std::stoul(arg.substr(15)) << 20;
-    } else if (arg == "--no-batch") {
-      options.greedy_batch = false;
     } else if (arg.rfind("--trace=", 0) == 0) {
       options.trace_path = arg.substr(8);
     } else if (arg == "--metrics") {
@@ -57,14 +55,15 @@ int main(int argc, char** argv) {
           "                      connection speaks JSON lines or, after the\n"
           "                      \\0SPF1 magic, length-prefixed binary frames;\n"
           "                      port 0 picks one (printed to stderr)\n"
-          "  --threads=N       scheduler pool size (default: all hardware threads)\n"
-          "  --workers=N       serve through N sharded workers with affinity\n"
-          "                    routing + admission control (default: batch mode)\n"
+          "  --workers=N       worker shards; requests on one design always run\n"
+          "                    in order on one shard (default: 1 on stdio, where\n"
+          "                    everything then runs in order; one per hardware\n"
+          "                    thread with --listen)\n"
           "  --queue-cap=N     per-worker bounded queue (default 256); a full\n"
-          "                    queue sheds requests with an 'overloaded' error\n"
+          "                    queue sheds socket requests with an 'overloaded'\n"
+          "                    error; stdio pauses reading before one fills\n"
           "  --max-sessions=N  LRU-evict loaded designs beyond N sessions\n"
           "  --max-store-mb=N  LRU-evict beyond ~N MiB of resident sessions\n"
-          "  --no-batch        one request at a time (no greedy batch draining)\n"
           "  --trace=FILE      append one JSON trace line per request to FILE\n"
           "  --metrics         dump the metrics registry to stderr at exit\n"
           "  --no-metrics      disable metric recording (zero-overhead serving)\n"
@@ -77,8 +76,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Unbuffered interplay with pipes: std::cin unties from cout inside
-  // serve() via explicit flushes; keep iostreams fast.
+  // serve() unties std::cin from std::cout and flushes every reply itself.
   std::ios::sync_with_stdio(false);
 
   spsta::service::AnalysisService service;
@@ -91,13 +89,9 @@ int main(int argc, char** argv) {
                    listen_spec.c_str());
       return 2;
     }
-    spsta::service::transport::SocketServerOptions socket_options;
-    socket_options.host = spec->host;
-    socket_options.port = spec->port;
-    socket_options.workers = options.workers;
-    socket_options.queue_capacity = options.queue_capacity;
     try {
-      spsta::service::transport::SocketServer server(service, socket_options);
+      spsta::service::transport::SocketServer server(
+          service, {spec->host, spec->port, options});
       const std::uint16_t port = server.listen();
       std::fprintf(stderr, "spsta_serviced: listening on %s:%u\n",
                    spec->host.c_str(), static_cast<unsigned>(port));
@@ -121,9 +115,8 @@ int main(int argc, char** argv) {
 
   const spsta::service::ServeReport report =
       spsta::service::serve(std::cin, std::cout, service, options);
-  std::fprintf(stderr, "spsta_serviced: served %llu requests in %llu batches (%s)\n",
+  std::fprintf(stderr, "spsta_serviced: served %llu requests (%s)\n",
                static_cast<unsigned long long>(report.requests),
-               static_cast<unsigned long long>(report.batches),
                report.shutdown ? "shutdown" : "eof");
   if (dump_metrics) {
     std::fprintf(stderr, "%s\n", spsta::service::metrics_json().dump().c_str());

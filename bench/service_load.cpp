@@ -408,8 +408,8 @@ int run(const Config& config) {
     transport::SocketServerOptions options;
     options.host = spec->host;
     options.port = spec->port;
-    options.workers = config.shards;
-    options.queue_capacity = config.queue_capacity;
+    options.serve.workers = config.shards;
+    options.serve.queue_capacity = config.queue_capacity;
     server = std::make_unique<transport::SocketServer>(service, options);
     std::uint16_t port = 0;
     try {

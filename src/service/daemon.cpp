@@ -1,16 +1,12 @@
 #include "service/daemon.hpp"
 
-#include <chrono>
-#include <deque>
-#include <future>
 #include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/ordered_writer.hpp"
 #include "service/worker_pool.hpp"
 
 namespace spsta::service {
@@ -26,109 +22,6 @@ bool has_content(const std::string& line) {
   return false;
 }
 
-/// Writes one response line, recording serialization time and the
-/// optional trace entry. Shared by both serve runtimes.
-void write_response(std::ostream& out, const Response& response,
-                    obs::LatencyHistogram& serialize_hist, obs::TraceLog* trace) {
-  const auto t0 = std::chrono::steady_clock::now();
-  out << response.to_line() << '\n';
-  const auto serialize_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-  serialize_hist.record_ns(static_cast<std::uint64_t>(serialize_ns));
-  if (trace != nullptr) {
-    trace->write({response.span.trace_id, response.span.cmd, response.ok,
-                  response.span.queue_ms, response.span.execute_ms,
-                  static_cast<double>(serialize_ns) * 1e-6});
-  }
-}
-
-/// Batch-scheduler runtime: deterministic batches, responses per batch.
-ServeReport serve_batched(std::istream& in, std::ostream& out,
-                          AnalysisService& service, const ServeOptions& options,
-                          obs::LatencyHistogram& serialize_hist,
-                          obs::TraceLog* trace) {
-  BatchScheduler scheduler(service, options.threads);
-  ServeReport report;
-  std::string line;
-  while (!service.shutdown_requested() && std::getline(in, line)) {
-    std::vector<Incoming> batch;
-    if (has_content(line)) batch.push_back(Incoming{std::move(line)});
-    // Drain whole lines that are already buffered: piped scripts become
-    // real batches without blocking an interactive client.
-    while (options.greedy_batch && batch.size() < options.max_batch &&
-           in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
-      if (has_content(line)) batch.push_back(Incoming{std::move(line)});
-    }
-    if (batch.empty()) continue;
-
-    const std::vector<Response> responses = scheduler.run(batch);
-    for (const Response& response : responses) {
-      write_response(out, response, serialize_hist, trace);
-    }
-    out.flush();
-    ++report.batches;
-    report.requests += batch.size();
-  }
-  report.shutdown = service.shutdown_requested();
-  return report;
-}
-
-/// Worker-pool runtime: lines are submitted to the sharded pool as they
-/// arrive (admission control may shed them immediately); completed
-/// responses are written back strictly in submission order, so the
-/// protocol's ordering contract holds even though shards finish out of
-/// order.
-ServeReport serve_pooled(std::istream& in, std::ostream& out,
-                         AnalysisService& service, const ServeOptions& options,
-                         obs::LatencyHistogram& serialize_hist,
-                         obs::TraceLog* trace) {
-  WorkerPool pool(service, {options.workers, options.queue_capacity});
-  ServeReport report;
-  std::deque<std::future<Response>> pending;
-
-  // Backstop on reorder-buffer growth: beyond this, block on the oldest
-  // response before reading more input (the pool's own queues stay
-  // bounded regardless — this only bounds daemon-side future storage).
-  const std::size_t max_pending =
-      2 * pool.shards() * pool.queue_capacity() + 64;
-
-  const auto flush_ready = [&](bool block_all) {
-    bool wrote = false;
-    while (!pending.empty()) {
-      if (!block_all && pending.front().wait_for(std::chrono::seconds(0)) !=
-                            std::future_status::ready) {
-        break;
-      }
-      write_response(out, pending.front().get(), serialize_hist, trace);
-      pending.pop_front();
-      wrote = true;
-    }
-    if (wrote) {
-      out.flush();
-      ++report.batches;
-    }
-  };
-
-  std::string line;
-  while (!service.shutdown_requested() && std::getline(in, line)) {
-    if (has_content(line)) {
-      pending.push_back(pool.submit(std::move(line)));
-      ++report.requests;
-    }
-    if (pending.size() >= max_pending) {
-      write_response(out, pending.front().get(), serialize_hist, trace);
-      pending.pop_front();
-      out.flush();
-      ++report.batches;
-    }
-    flush_ready(/*block_all=*/false);
-  }
-  flush_ready(/*block_all=*/true);
-  report.shutdown = service.shutdown_requested();
-  return report;
-}
-
 }  // namespace
 
 ServeReport serve(std::istream& in, std::ostream& out, AnalysisService& service,
@@ -136,12 +29,36 @@ ServeReport serve(std::istream& in, std::ostream& out, AnalysisService& service,
   const std::unique_ptr<obs::TraceLog> trace =
       options.trace_path.empty() ? nullptr
                                  : std::make_unique<obs::TraceLog>(options.trace_path);
-  static obs::LatencyHistogram& serialize_hist =
-      obs::registry().histogram("service.serialize");
-  if (options.workers > 0) {
-    return serve_pooled(in, out, service, options, serialize_hist, trace.get());
-  }
-  return serve_batched(in, out, service, options, serialize_hist, trace.get());
+  // One stream is one client: one shard unless asked for more.
+  WorkerPool pool(service,
+                  {options.workers == 0 ? 1u : options.workers, options.queue_capacity});
+  // From here on only the writer thread touches `out`: untie `in`, or
+  // every read would flush `out` from this thread.
+  std::ostream* const tied = in.tie(nullptr);
+  ServeReport report;
+  {
+    OrderedWriter writer(
+        [&out](std::string_view wire) {
+          out.write(wire.data(), static_cast<std::streamsize>(wire.size()));
+          out.flush();
+          return out.good();
+        },
+        // At most queue_capacity replies outstanding: a script piped in
+        // faster than it runs pauses the reader before any shard queue is
+        // full, so none of its requests is shed as `overloaded`.
+        /*frames=*/false, pool.queue_capacity(), trace.get());
+    // An admitted shutdown closes the pool's admission, so no line after
+    // it is read.
+    std::string line;
+    while (pool.accepting() && std::getline(in, line)) {
+      if (!has_content(line)) continue;
+      ++report.requests;
+      if (!writer.push([&] { return pool.submit(std::move(line)); })) break;
+    }
+  }  // the writer returns once every reply is written
+  in.tie(tied);
+  report.shutdown = service.shutdown_requested();
+  return report;
 }
 
 }  // namespace spsta::service

@@ -2,11 +2,12 @@
 /// The JSON-lines serve loop shared by `spsta_serviced` (over real
 /// stdin/stdout) and the in-process client / tests (over string streams).
 ///
-/// Reads one request per line, greedily draining whatever further whole
-/// lines are already buffered into the same batch (so piped scripts get
-/// genuine batch scheduling), hands the batch to the BatchScheduler and
-/// writes one response line per request, in order. Returns after a
-/// `shutdown` request or at end of input. No input can make it throw.
+/// Reads one request per line, submits it to a WorkerPool and pushes the
+/// reply-to-be into an OrderedWriter, which writes one response line per
+/// request, in request order, as each completes — the same runtime the
+/// socket transport uses. Returns after a `shutdown` request (no later
+/// line is read) or at end of input, once every reply is written. No
+/// input can make it throw.
 
 #pragma once
 
@@ -15,30 +16,30 @@
 #include <iosfwd>
 #include <string>
 
-#include "service/scheduler.hpp"
 #include "service/service.hpp"
 
 namespace spsta::service {
 
+/// The runtime settings every transport shares (the socket server's
+/// options embed one).
 struct ServeOptions {
-  unsigned threads = 0;          ///< scheduler pool size (0 = hardware)
-  std::size_t max_batch = 256;   ///< cap on greedily drained batch size
-  bool greedy_batch = true;      ///< drain buffered lines into one batch
   /// When non-empty, append one JSON trace line per served request
   /// (trace_id, cmd, ok, queue/execute/serialize ms) to this file.
-  std::string trace_path;
+  std::string trace_path{};
 
-  /// > 0 selects the sharded worker-pool runtime (DESIGN.md §13): that
-  /// many affinity-routed worker shards, each with a bounded queue of
-  /// `queue_capacity`, admission control answering `overloaded` when a
-  /// shard is full. 0 keeps the deterministic batch scheduler.
+  /// Worker shards (DESIGN.md §13). 0 picks the transport's default: one
+  /// on stdio, where one stream is one client and every request then runs
+  /// in arrival order; one per hardware thread on sockets. More shards run
+  /// requests on different designs concurrently; requests on one design
+  /// stay FIFO through affinity routing.
   unsigned workers = 0;
-  std::size_t queue_capacity = 256;  ///< per-shard queue bound (pool mode)
+  /// Per-shard queue bound. A full queue sheds socket requests with
+  /// `overloaded`; the stdio loop pauses reading before it fills one.
+  std::size_t queue_capacity = 256;
 };
 
 struct ServeReport {
   std::uint64_t requests = 0;
-  std::uint64_t batches = 0;
   bool shutdown = false;  ///< true when stopped by a shutdown request
 };
 

@@ -112,9 +112,4 @@ std::variant<Request, Response> parse_request(std::string_view line) {
   return req;
 }
 
-bool is_mutating_command(std::string_view cmd) noexcept {
-  return cmd == "load" || cmd == "set_delay" || cmd == "set_source" ||
-         cmd == "unload" || cmd == "shutdown";
-}
-
 }  // namespace spsta::service

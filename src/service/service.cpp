@@ -235,14 +235,23 @@ struct LoadedText {
   std::string content; ///< text, or the builtin circuit name
 };
 
-std::string infer_format(const std::string& path) {
+/// The format a path's extension names ("" when it names none).
+std::string format_of_path(const std::string& path) {
   const std::size_t dot = path.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
   if (ext == ".bench") return "bench";
   if (ext == ".hbench") return "hier";
   if (ext == ".v" || ext == ".verilog") return "verilog";
-  fail(ErrorCode::BadParams,
-       "cannot infer format from '" + path + "'; pass \"format\"");
+  return "";
+}
+
+/// The whole file, or nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
 }
 
 /// Boundary state of one hierarchical signal, the same engine-agnostic
@@ -305,6 +314,16 @@ void check_deadline(const Request& request) {
 std::uint64_t load_content_hash(std::string_view format,
                                 std::string_view content) noexcept {
   return fnv1a64(content, fnv1a64(format) * 0x9e3779b97f4a7c15ull + 1);
+}
+
+std::optional<std::uint64_t> path_load_hash(const std::string& path,
+                                            const Json* format) {
+  if (format != nullptr && !format->is_string()) return std::nullopt;
+  const std::string fmt = format != nullptr ? format->as_string() : format_of_path(path);
+  if (fmt.empty()) return std::nullopt;
+  const std::optional<std::string> content = read_file(path);
+  if (!content) return std::nullopt;
+  return load_content_hash(fmt, *content);
 }
 
 Json metrics_json() {
@@ -460,13 +479,15 @@ Response AnalysisService::handle_load(const Request& request) {
       source = {format->as_string(), text->as_string()};
     } else {
       if (!path->is_string()) fail(ErrorCode::BadParams, "'path' must be a string");
-      std::ifstream in(path->as_string(), std::ios::binary);
-      if (!in) fail(ErrorCode::IoError, "cannot open '" + path->as_string() + "'");
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
+      std::optional<std::string> content = read_file(path->as_string());
+      if (!content) fail(ErrorCode::IoError, "cannot open '" + path->as_string() + "'");
       source.format = format != nullptr ? format->as_string()
-                                        : infer_format(path->as_string());
-      source.content = buffer.str();
+                                        : format_of_path(path->as_string());
+      if (format == nullptr && source.format.empty()) {
+        fail(ErrorCode::BadParams, "cannot infer format from '" +
+                                       path->as_string() + "'; pass \"format\"");
+      }
+      source.content = std::move(*content);
     }
     if (source.format != "bench" && source.format != "verilog" &&
         source.format != "hier") {
@@ -681,11 +702,12 @@ Response AnalysisService::handle_query(const Request& request) {
   NodeId query_node = netlist::kInvalidNode;
   if (node != nullptr) query_node = resolve_node(session, *node);
 
-  // Warm-query fast path: once a session has taken an ECO edit, a plain
-  // moment-engine node query reads the warm incremental engine directly —
-  // per-node, memoized against the monotone edit epoch — instead of
-  // materializing (and copying) a full SpstaResult per (engine, params)
-  // cache entry. Bit-identical: the engine settles exactly (eps == 0).
+  // Warm-query fast path: once a session has a warm incremental engine, a
+  // plain moment-engine node query reads that node's state directly — an
+  // O(1) read, since every edit commits eagerly — instead of materializing
+  // (and copying) a full SpstaResult per (engine, params) cache entry. No
+  // engine work runs, so the reply says `cached`. Bit-identical: the
+  // engine settles exactly (eps == 0).
   if (node != nullptr && engine == Engine::SpstaMoment && session.incremental &&
       request.body.find("density") == nullptr) {
     AnalysisRequest validate_request = params.request;
@@ -695,30 +717,16 @@ Response AnalysisService::handle_query(const Request& request) {
     } catch (const std::invalid_argument& e) {
       fail(ErrorCode::BadParams, e.what());
     }
-    core::IncrementalSpsta& inc = *session.incremental;
-    if (session.query_cache_epoch != inc.epoch()) {
-      session.query_cache.clear();
-      session.query_cache_epoch = inc.epoch();
-    }
-    static obs::Counter& cache_hit_counter =
-        obs::registry().counter("incremental.cache_hit");
-    auto it = session.query_cache.find(query_node);
-    const bool hit = it != session.query_cache.end();
-    if (hit) {
-      cache_hit_counter.add();
-    } else {
-      it = session.query_cache.emplace(query_node, inc.node(query_node)).first;
-    }
     ++session.queries;
 
-    Json stats = node_top_json(it->second);
+    Json stats = node_top_json(session.incremental->node(query_node));
     stats.set("node", Json(static_cast<std::uint64_t>(query_node)));
     stats.set("name", Json(session.design().node(query_node).name));
     stats.set("type", Json(std::string(
                           netlist::to_string(session.design().node(query_node).type))));
     Json result = Json::object();
     result.set("engine", Json(std::string(to_string(engine))));
-    result.set("cached", Json(hit));
+    result.set("cached", Json(true));
     result.set("eco_version", Json(session.eco_version));
     result.set("stats", std::move(stats));
     return Response::success(request.id, std::move(result));

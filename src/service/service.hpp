@@ -10,10 +10,9 @@
 /// Read-only commands (analyze, query, stats, ping) serialize same-session
 /// work on the per-session mutex; load/unload go through the session
 /// store's latch (compiles happen outside the store lock, DESIGN.md §13),
-/// and set_delay/set_source take the session mutex like reads. The batch
-/// scheduler still runs mutating commands as barriers for deterministic
-/// batch semantics; the sharded worker pool relies on per-shard FIFO plus
-/// this internal locking instead.
+/// and set_delay/set_source take the session mutex like reads. The worker
+/// pool relies on per-shard FIFO plus this internal locking; there are no
+/// barriers.
 
 #pragma once
 
@@ -21,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -49,6 +49,14 @@ using spsta::to_string;
 /// the session it creates.
 [[nodiscard]] std::uint64_t load_content_hash(std::string_view format,
                                               std::string_view content) noexcept;
+
+/// load_content_hash() of what a `path` load of \p path reads: the file's
+/// bytes, with \p format (the request's `format` field, null to infer it
+/// from the extension). nullopt when the file cannot be read or the format
+/// is not given as a string and cannot be inferred — the handler then
+/// answers the structured error itself.
+[[nodiscard]] std::optional<std::uint64_t> path_load_hash(const std::string& path,
+                                                          const Json* format);
 
 /// Parsed analysis parameters: an AnalysisRequest whose optional fields
 /// are set only when the client supplied them, so Analyzer validation

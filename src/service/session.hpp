@@ -97,13 +97,6 @@ struct Session {
   /// (engine|params) -> result, valid for the current eco_version only.
   std::unordered_map<std::string, CachedAnalysis> cache;
 
-  /// Endpoint query cache for the warm moment engine, keyed on the
-  /// incremental engine's monotone edit epoch: repeated `query` of the
-  /// same nodes between edits reads here instead of re-walking (or
-  /// re-copying) engine state. Invalidated lazily when the epoch moves.
-  std::uint64_t query_cache_epoch = ~std::uint64_t{0};
-  std::unordered_map<netlist::NodeId, core::NodeTop> query_cache;
-
   /// Hierarchical sessions only: the composition analyzer (flat sessions
   /// leave this null — is_hier() is the discriminator) and its per-params
   /// result cache. ECO edits are not supported on hierarchical sessions.

@@ -1,9 +1,8 @@
 #include "service/transport/server.hpp"
 
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,6 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "service/frame.hpp"
+#include "service/ordered_writer.hpp"
 
 namespace spsta::service::transport {
 
@@ -44,19 +44,12 @@ std::future<Response> ready_response(Response response) {
 
 }  // namespace
 
-/// Per-connection state. The reader thread owns the receive side and the
-/// negotiated mode; `mutex` guards the reorder deque and the eof/dead
-/// flags shared with the writer thread.
+/// Per-connection state: the socket and the reader thread. `mutex`
+/// guards the fd between the reader closing it and the drain path (or the
+/// writer's sink) shutting its read side down.
 struct SocketServer::Connection {
   ScopedFd fd;
-  bool frame_mode = false;  ///< written by the reader before the writer starts
-
   std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::future<Response>> pending;
-  bool eof = false;   ///< reader submitted its last request
-  bool dead = false;  ///< write failed; responses are drained, not written
-
   std::thread reader;              ///< joined by reap_connections
   std::atomic<bool> done{false};   ///< reader (and writer) fully finished
 
@@ -73,10 +66,10 @@ struct SocketServer::Connection {
 SocketServer::SocketServer(AnalysisService& service, SocketServerOptions options)
     : service_(service),
       options_(std::move(options)),
-      pool_(service, {options_.workers, options_.queue_capacity}) {
-  max_pending_ = options_.max_pending != 0
-                     ? options_.max_pending
-                     : 2 * pool_.shards() * pool_.queue_capacity() + 64;
+      pool_(service, {options_.serve.workers, options_.serve.queue_capacity}) {
+  if (!options_.serve.trace_path.empty()) {
+    trace_ = std::make_unique<obs::TraceLog>(options_.serve.trace_path);
+  }
 }
 
 SocketServer::~SocketServer() {
@@ -118,7 +111,7 @@ void SocketServer::reap_connections(bool all) {
 }
 
 SocketServerReport SocketServer::serve() {
-  while (!stop_.load(std::memory_order_acquire) && !service_.shutdown_requested()) {
+  while (!stop_.load(std::memory_order_acquire) && pool_.accepting()) {
     pollfd pfd{listen_fd_.get(), POLLIN, 0};
     const int rc = ::poll(&pfd, 1, kAcceptPollMs);
     if (rc < 0) {
@@ -150,80 +143,36 @@ SocketServerReport SocketServer::serve() {
           service_.shutdown_requested()};
 }
 
-void SocketServer::write_loop(const std::shared_ptr<Connection>& conn) {
-  obs::LatencyHistogram& serialize_hist =
-      obs::registry().histogram("service.serialize");
-  for (;;) {
-    std::future<Response> next;
-    {
-      std::unique_lock<std::mutex> lock(conn->mutex);
-      conn->cv.wait(lock, [&] { return !conn->pending.empty() || conn->eof; });
-      if (conn->pending.empty()) return;  // eof and fully drained
-      next = std::move(conn->pending.front());
-      conn->pending.pop_front();
-      conn->cv.notify_all();  // reader may be blocked on backpressure
-    }
-    // Block outside the lock: the response completes in shard order, the
-    // deque order preserves the connection's submission order.
-    const Response response = next.get();
-    {
-      const std::lock_guard<std::mutex> lock(conn->mutex);
-      if (conn->dead) continue;  // drain without writing
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::string wire;
-    if (conn->frame_mode) {
-      append_frame(wire, FrameKind::Json, response.to_line());
-      for (const std::vector<double>& waveform : response.waveforms) {
-        append_waveform_frame(wire, waveform);
-      }
-    } else {
-      wire = response.to_line();
-      wire.push_back('\n');
-    }
-    const bool wrote = write_all(conn->fd.get(), wire.data(), wire.size());
-    serialize_hist.record_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-    if (!wrote) {
-      // The client is gone or unwritable: shed exactly this connection.
-      // Remaining futures are drained (their work still completes and
-      // resolves the pool's inflight accounting) but nothing is written.
-      obs::registry().counter("service.transport.client_write_errors").add();
-      {
-        const std::lock_guard<std::mutex> lock(conn->mutex);
-        conn->dead = true;
-        conn->cv.notify_all();
-      }
-      conn->shut_read();  // locks the mutex itself
-    }
-  }
-}
-
 void SocketServer::serve_connection(const std::shared_ptr<Connection>& conn) {
-  std::thread writer([this, conn] { write_loop(conn); });
+  // The writer starts once the first bytes fix the connection's mode.
+  std::optional<OrderedWriter> writer;
+  const auto start_writer = [&](bool frames) {
+    writer.emplace(
+        [conn](std::string_view wire) {
+          if (write_all(conn->fd.get(), wire.data(), wire.size())) return true;
+          // The client is gone or unwritable: shed exactly this connection.
+          obs::registry().counter("service.transport.client_write_errors").add();
+          conn->shut_read();
+          return false;
+        },
+        frames, default_max_pending(pool_), trace_.get());
+  };
 
-  /// Enqueues one response-to-be in submission order, honoring the
-  /// reorder-deque bound (write backpressure: a full deque pauses reads).
-  const auto enqueue = [&](std::future<Response> future) {
-    std::unique_lock<std::mutex> lock(conn->mutex);
-    conn->cv.wait(lock, [&] {
-      return conn->pending.size() < max_pending_ || conn->dead;
-    });
-    if (conn->dead) return false;
-    conn->pending.push_back(std::move(future));
-    conn->cv.notify_all();
+  /// Queues one response-to-be in submission order; false once the
+  /// connection is dead. A full writer pauses reads (backpressure).
+  const auto enqueue = [&](const OrderedWriter::Submit& submit) {
+    if (!writer->push(submit)) return false;
     requests_.fetch_add(1, std::memory_order_relaxed);
     return true;
   };
   const auto enqueue_bad_request = [&](const std::string& message) {
-    return enqueue(ready_response(
-        Response::failure(Json(), ErrorCode::BadRequest, message)));
+    return enqueue([&] {
+      return ready_response(Response::failure(Json(), ErrorCode::BadRequest, message));
+    });
   };
 
   std::string buffer;
-  bool negotiated = false;
+  bool frame_mode = false;
   bool line_discarding = false;  ///< inside an over-cap line, pre-newline
   FrameDecoder decoder;
   std::vector<char> chunk(kReadChunk);
@@ -233,25 +182,26 @@ void SocketServer::serve_connection(const std::shared_ptr<Connection>& conn) {
     if (n <= 0) break;  // EOF or error: stop reading, drain writes below
     std::string_view bytes(chunk.data(), static_cast<std::size_t>(n));
 
-    if (!negotiated) {
+    if (!writer) {
       buffer.append(bytes);
       if (buffer.front() == kFrameMagic[0]) {
         if (buffer.size() < sizeof(kFrameMagic)) continue;  // magic incomplete
         if (std::memcmp(buffer.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
+          start_writer(/*frames=*/false);
           enqueue_bad_request("unrecognized connection magic");
           break;
         }
-        conn->frame_mode = true;
+        frame_mode = true;
         frame_connections_.fetch_add(1, std::memory_order_relaxed);
         decoder.feed(std::string_view(buffer).substr(sizeof(kFrameMagic)));
         buffer.clear();
       }
-      negotiated = true;
+      start_writer(frame_mode);
       bytes = {};  // already buffered / fed
     }
 
     bool conn_dead = false;
-    if (conn->frame_mode) {
+    if (frame_mode) {
       decoder.feed(bytes);
       Frame frame;
       for (;;) {
@@ -267,9 +217,11 @@ void SocketServer::serve_connection(const std::shared_ptr<Connection>& conn) {
             conn_dead = true;
           }
         } else {
-          if (!enqueue(pool_.submit(std::move(frame.payload),
+          if (!enqueue([&] {
+                return pool_.submit(std::move(frame.payload),
                                     std::chrono::steady_clock::now(),
-                                    /*binary_frames=*/true))) {
+                                    /*binary_frames=*/true);
+              })) {
             conn_dead = true;
           }
         }
@@ -288,9 +240,10 @@ void SocketServer::serve_connection(const std::shared_ptr<Connection>& conn) {
           continue;
         }
         if (blank_line(line)) continue;
-        if (!enqueue(pool_.submit(std::string(line),
-                                  std::chrono::steady_clock::now(),
-                                  /*binary_frames=*/false))) {
+        if (!enqueue([&] {
+              return pool_.submit(std::string(line), std::chrono::steady_clock::now(),
+                                  /*binary_frames=*/false);
+            })) {
           conn_dead = true;
           break;
         }
@@ -312,19 +265,12 @@ void SocketServer::serve_connection(const std::shared_ptr<Connection>& conn) {
       }
     }
     if (conn_dead) break;
-    // Stop reading new requests once a shutdown was served; queued work
+    // Stop reading new requests once a shutdown was admitted; queued work
     // still drains through the writer.
-    if (service_.shutdown_requested() || stop_.load(std::memory_order_acquire)) {
-      break;
-    }
+    if (!pool_.accepting() || stop_.load(std::memory_order_acquire)) break;
   }
 
-  {
-    const std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->eof = true;
-    conn->cv.notify_all();
-  }
-  writer.join();
+  if (writer) writer->close();
   {
     // Under the mutex: the drain path's shut_read may be inspecting the fd.
     const std::lock_guard<std::mutex> lock(conn->mutex);

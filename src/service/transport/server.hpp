@@ -2,9 +2,10 @@
 /// Multi-connection socket front end of the analysis service (ROADMAP
 /// item 1, DESIGN.md §15): a TCP listener in front of WorkerPool::submit.
 ///
-/// Every connection gets a reader and a writer thread; all connections
-/// share ONE sharded worker pool, so the affinity routing, bounded queues
-/// and admission control of DESIGN.md §13 apply across clients exactly as
+/// Every connection gets a reader thread and an OrderedWriter (the same
+/// ordered-reply writer the stdio loop uses); all connections share ONE
+/// sharded worker pool, so the affinity routing, bounded queues and
+/// admission control of DESIGN.md §13 apply across clients exactly as
 /// they do within one stdio stream. Per connection:
 ///
 ///   * the protocol mode is negotiated from the first bytes: the 5-byte
@@ -12,8 +13,7 @@
 ///     anything else is plain JSON lines — one daemon serves both kinds
 ///     of client at once;
 ///   * responses are written strictly in that connection's submission
-///     order (the serve_pooled future-deque pattern), even though shards
-///     complete out of order;
+///     order, even though shards complete out of order;
 ///   * backpressure is end-to-end: the reorder deque is bounded, a full
 ///     deque stops the reader, a full socket send buffer blocks the
 ///     writer — a slow client throttles only itself;
@@ -26,7 +26,9 @@
 ///     are discarded, every other connection is untouched;
 ///   * shutdown (a `shutdown` request or stop()) is a graceful drain:
 ///     the listener closes, reads stop, every already-submitted request
-///     is answered, then connections close.
+///     is answered, then connections close;
+///   * with a trace path, every reply appends one trace line (the
+///     writer's, shared by all connections).
 
 #pragma once
 
@@ -37,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
+#include "service/daemon.hpp"
 #include "service/service.hpp"
 #include "service/transport/socket.hpp"
 #include "service/worker_pool.hpp"
@@ -45,12 +49,9 @@ namespace spsta::service::transport {
 
 struct SocketServerOptions {
   std::string host = "127.0.0.1";
-  std::uint16_t port = 0;            ///< 0 = ephemeral (see SocketServer::port)
-  unsigned workers = 0;              ///< pool shards (0 = hardware)
-  std::size_t queue_capacity = 256;  ///< per-shard bounded queue
-  /// Per-connection reorder-deque bound (0 = 2 * shards * queue_capacity
-  /// + 64, the serve_pooled backstop).
-  std::size_t max_pending = 0;
+  std::uint16_t port = 0;  ///< 0 = ephemeral (see SocketServer::port)
+  /// Shards (0 = one per hardware thread), queue bound and trace file.
+  ServeOptions serve{};
 };
 
 struct SocketServerReport {
@@ -88,7 +89,6 @@ class SocketServer {
   struct Connection;
 
   void serve_connection(const std::shared_ptr<Connection>& conn);
-  void write_loop(const std::shared_ptr<Connection>& conn);
   /// Joins finished connection threads; \p all also joins live ones
   /// (after shutting their reads down for a graceful drain).
   void reap_connections(bool all);
@@ -96,7 +96,7 @@ class SocketServer {
   AnalysisService& service_;
   SocketServerOptions options_;
   WorkerPool pool_;
-  std::size_t max_pending_ = 0;
+  std::unique_ptr<obs::TraceLog> trace_;
   ScopedFd listen_fd_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};

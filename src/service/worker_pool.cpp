@@ -67,6 +67,7 @@ void WorkerPool::stop_accepting() {
 
 unsigned WorkerPool::route_shard(const Request& request) const {
   const unsigned n = shards();
+  if (n == 1) return 0;  // nothing to route: skip the hashing (and reads)
   // A request naming a session routes on the session key — which IS the
   // content hash, so it lands where the design's plan is warm.
   if (const Json* key = request.body.find("session");
@@ -92,20 +93,14 @@ unsigned WorkerPool::route_shard(const Request& request) const {
       return static_cast<unsigned>(
           load_content_hash(format->as_string(), text->as_string()) % n);
     }
-    // Path loads route on the path string: the content is not in hand
-    // yet, so identical paths share a shard and the parse/compile is still
-    // deduplicated by the session store's latch. KNOWN MISS: the session a
-    // path load creates is keyed on the *content* hash, so every later
-    // request on that session routes on fnv1a64(content) — generally a
-    // DIFFERENT shard than fnv1a64(path). A path-loaded design therefore
-    // splits its load traffic and its analyze traffic across two shards
-    // (the compiled plan itself is shared either way — the store is
-    // process-wide; only the per-design FIFO/affinity property is lost).
-    // service_worker_pool_test quantifies the split; clients that care
-    // should load by text or circuit name.
+    // A path load routes on the content hash of the file it names — the
+    // key its session will have. An unreadable file routes anywhere; the
+    // handler answers its io_error.
     const Json* path = request.body.find("path");
     if (path != nullptr && path->is_string()) {
-      return static_cast<unsigned>(fnv1a64(path->as_string()) % n);
+      if (const auto h = path_load_hash(path->as_string(), format)) {
+        return static_cast<unsigned>(*h % n);
+      }
     }
   }
   // No routing key (ping, stats, shutdown, malformed loads): spread.
@@ -147,6 +142,7 @@ std::future<Response> WorkerPool::submit(
     return future;
   }
 
+  const bool shutdown = request.cmd == "shutdown";
   Shard& shard = *shards_[route_shard(request)];
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -184,9 +180,14 @@ std::future<Response> WorkerPool::submit(
     shard.queue.push_back(Job{std::move(request), std::move(promise), trace_id});
     total_depth_.fetch_add(1, std::memory_order_relaxed);
     inflight_.fetch_add(1, std::memory_order_relaxed);
+    // An admitted shutdown is a fence, raised in the critical section
+    // that queues it: no later submit to this shard queues behind it, and
+    // every submit that starts after this one returns is shed.
+    if (shutdown) stopping_.store(true, std::memory_order_release);
     shard.cv.notify_one();
   }
   update_depth_gauge();
+  if (shutdown) stop_accepting();  // wake idle shards: they exit once empty
   return future;
 }
 
@@ -210,7 +211,9 @@ void WorkerPool::worker_loop(Shard& shard) {
     const double queue_ms = job.request.age_ms();
     queue_hist.record_ns(static_cast<std::uint64_t>(queue_ms * 1e6));
     Response response;
-    if (job.request.expired()) {
+    // An admitted shutdown always runs: admission is already closed
+    // behind it, so shedding it would stop the daemon unannounced.
+    if (job.request.expired() && job.request.cmd != "shutdown") {
       // Stale at dequeue: its whole budget was burned in the queue.
       deadline_shed_.fetch_add(1, std::memory_order_relaxed);
       response = Response::failure(

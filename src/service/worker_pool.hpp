@@ -1,19 +1,17 @@
 /// \file worker_pool.hpp
-/// The scaled service runtime: a sharded worker pool with session-affinity
-/// routing, bounded per-shard queues and admission control (ROADMAP item 1,
-/// DESIGN.md §13).
-///
-/// Where the BatchScheduler optimizes one client's scripted batch for
-/// deterministic output order, the WorkerPool optimizes many concurrent
-/// clients for throughput under an explicit overload policy:
+/// The service runtime (DESIGN.md §13): every request any transport
+/// receives is executed through WorkerPool::submit — a sharded worker pool
+/// with session-affinity routing, bounded per-shard queues and admission
+/// control.
 ///
 ///   * N shards, each one worker thread plus a bounded FIFO queue;
 ///   * routing is by *content hash*: a request naming a session routes on
 ///     the session key's hash value, and a `load` routes on the content
-///     hash of what it loads — so every request touching one design lands
-///     on one shard (per-design FIFO, zero cross-shard contention on the
-///     hot path) and identical designs submitted by different clients
-///     share that shard's warm compiled plan via the session store;
+///     hash of what it loads (for a `path` load, of the file's bytes) — so
+///     every request touching one design lands on one shard (per-design
+///     FIFO, zero cross-shard contention on the hot path) and identical
+///     designs submitted by different clients share that shard's warm
+///     compiled plan via the session store;
 ///   * admission control: a submit against a full shard queue is answered
 ///     immediately with a structured `overloaded` error carrying a
 ///     `retry_after_ms` hint (queue depth × the shard's recent mean
@@ -21,11 +19,14 @@
 ///     shed cheap;
 ///   * deadline shedding at dequeue (queue wait burned the budget) plus
 ///     the service-internal re-check after the session mutex is won;
+///   * an admitted `shutdown` closes admission: no later submit, from any
+///     client, is queued behind it, and it always executes (its
+///     deadline_ms is not applied), so the daemon reports the stop;
 ///   * a `service.pool.queue_depth` gauge tracks total queued requests.
 ///
 /// Responses complete out of order across shards; submit() returns a
-/// future per request and the daemon writes completions back in
-/// submission order, preserving the protocol's ordering contract.
+/// future per request and each transport writes completions back in its
+/// own submission order through an OrderedWriter (ordered_writer.hpp).
 /// Commands with no routing key (ping, stats, shutdown) spread
 /// round-robin.
 
@@ -106,8 +107,13 @@ class WorkerPool {
   /// Begins a graceful shutdown: every later submit() is answered with
   /// `overloaded` ("shutting down") and counted in shutdown_shed; already
   /// queued requests still execute and workers exit once their queues are
-  /// empty. Used by transports to fence late arrivals during drain.
+  /// empty. Admitting a `shutdown` request calls this.
   void stop_accepting();
+
+  /// False once stop_accepting() ran: transports stop reading then.
+  [[nodiscard]] bool accepting() const noexcept {
+    return !stopping_.load(std::memory_order_acquire);
+  }
 
   [[nodiscard]] unsigned shards() const noexcept {
     return static_cast<unsigned>(shards_.size());
@@ -122,8 +128,8 @@ class WorkerPool {
   [[nodiscard]] WorkerPoolStats stats() const noexcept;
 
   /// The shard a request routes to — exposed so tests can pin down the
-  /// affinity contract (load of content C and analyze of the session C
-  /// created land on the same shard).
+  /// affinity contract (a load of content C, by name, text or path, and
+  /// every request on the session C created land on the same shard).
   [[nodiscard]] unsigned route_shard(const Request& request) const;
 
  private:

@@ -16,7 +16,6 @@
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
-#include "service/scheduler.hpp"
 #include "service/service.hpp"
 
 namespace spsta::service {
@@ -63,15 +62,6 @@ TEST(ServiceProtocol, RequestEnvelopeValidation) {
     auto parsed = parse_request(line);
     ASSERT_TRUE(std::holds_alternative<Response>(parsed)) << line;
     EXPECT_FALSE(std::get<Response>(parsed).ok) << line;
-  }
-}
-
-TEST(ServiceProtocol, MutatingCommandTable) {
-  for (const char* cmd : {"load", "set_delay", "set_source", "unload", "shutdown"}) {
-    EXPECT_TRUE(is_mutating_command(cmd)) << cmd;
-  }
-  for (const char* cmd : {"ping", "analyze", "query", "stats", "nonsense"}) {
-    EXPECT_FALSE(is_mutating_command(cmd)) << cmd;
   }
 }
 
@@ -431,33 +421,6 @@ TEST(ServiceProtocol, NonFiniteResponseBodyDegradesToStructuredError) {
   if (!echoed.find("ok")->as_bool()) {
     EXPECT_EQ(echoed.find("error")->find("code")->as_string(), "internal_error");
   }
-}
-
-TEST(ServiceProtocol, SchedulerAssignsSequentialTraceIds) {
-  AnalysisService service;
-  BatchScheduler scheduler(service, 2);
-  const Response first = scheduler.run_one(R"({"id":1,"cmd":"ping"})");
-  const Response second = scheduler.run_one(R"({"id":2,"cmd":"ping"})");
-  EXPECT_EQ(first.span.trace_id, 1u);
-  EXPECT_EQ(second.span.trace_id, 2u);
-  EXPECT_EQ(first.span.cmd, "ping");
-  EXPECT_GE(first.span.execute_ms, 0.0);
-  EXPECT_NE(first.to_line().find(R"("trace_id":"t-1")"), std::string::npos);
-
-  // Batch order is request order, whatever the pool interleaving did.
-  std::vector<Incoming> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back(Incoming{R"({"cmd":"ping"})"});
-  const std::vector<Response> responses = scheduler.run(batch);
-  ASSERT_EQ(responses.size(), 8u);
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].span.trace_id, 3 + i);
-  }
-
-  // The direct (unscheduled) execute path carries no trace id — and no
-  // "trace_id" key on the wire.
-  const Response direct = service.execute_line(R"({"cmd":"ping"})");
-  EXPECT_EQ(direct.span.trace_id, 0u);
-  EXPECT_EQ(direct.to_line().find("trace_id"), std::string::npos);
 }
 
 TEST(ServiceProtocol, MetricsToggleDoesNotPerturbResultsOrCache) {

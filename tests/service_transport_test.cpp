@@ -6,7 +6,9 @@
 // fetched as a raw f64 frame must equal the JSON-lines answer bit for bit.
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <optional>
 #include <string>
@@ -26,8 +28,8 @@ namespace {
 /// A listening server on an ephemeral loopback port plus its serve thread.
 class ServerFixture {
  public:
-  explicit ServerFixture(SocketServerOptions options = {.workers = 2,
-                                                        .queue_capacity = 64})
+  explicit ServerFixture(SocketServerOptions options = {
+                             .serve = {.workers = 2, .queue_capacity = 64}})
       : server_(service_, options) {
     port_ = server_.listen();
     thread_ = std::thread([this] { report_ = server_.serve(); });
@@ -136,6 +138,38 @@ TEST(ServiceTransport, BinaryFrameNegotiationAndRoundTrip) {
   client.close();
   fixture.stop();
   EXPECT_EQ(fixture.report().frame_connections, 1u);
+}
+
+TEST(ServiceTransport, TraceWritesOneLinePerReplyOnEveryConnection) {
+  // The shared ordered writer owns the trace line, so the socket server
+  // honours --trace like stdio: one line per reply, JSON-lines and frame
+  // connections alike, all into the one file.
+  const std::string path = ::testing::TempDir() + "/socket_trace.jsonl";
+  std::remove(path.c_str());
+  {
+    ServerFixture fixture(
+        {.serve = {.trace_path = path, .workers = 2, .queue_capacity = 64}});
+    SocketClient lines;
+    SocketClient frames;
+    ASSERT_TRUE(lines.connect("127.0.0.1", fixture.port(), /*binary_frames=*/false));
+    ASSERT_TRUE(frames.connect("127.0.0.1", fixture.port(), /*binary_frames=*/true));
+    for (int i = 0; i < 3; ++i) {
+      for (SocketClient* client : {&lines, &frames}) {
+        auto pong = request(*client, R"({"cmd":"ping"})");
+        ASSERT_TRUE(pong.has_value()) << client->error();
+        EXPECT_TRUE(response_ok(pong->line)) << pong->line;
+      }
+    }
+    fixture.stop();
+  }
+  std::ifstream trace(path);
+  std::size_t count = 0;
+  for (std::string line; std::getline(trace, line); ++count) {
+    const Json event = parsed(line);
+    EXPECT_EQ(event.find("cmd")->as_string(), "ping") << line;
+    EXPECT_NE(event.find("serialize_ms"), nullptr) << line;
+  }
+  EXPECT_EQ(count, 6u);
 }
 
 TEST(ServiceTransport, InterleavedJsonAndBinaryConnections) {
@@ -370,7 +404,7 @@ TEST(ServiceTransport, EofMidFrameDropsOnlyThatConnection) {
 }
 
 TEST(ServiceTransport, ConcurrentConnectionsHammerOneSessionKey) {
-  ServerFixture fixture({.workers = 4, .queue_capacity = 128});
+  ServerFixture fixture({.serve = {.workers = 4, .queue_capacity = 128}});
   // All connections load the same circuit (one shared session/plan) and
   // analyze it concurrently: exercises the cross-connection path through
   // one shard plus the session-store latch. TSan must stay green here.

@@ -1,20 +1,21 @@
-// Tests for the sharded worker pool: content-hash affinity routing,
-// admission control (bounded queues shed with a structured `overloaded`
-// error carrying retry_after_ms), deadline shedding at dequeue, drain
-// semantics, and the pooled serve runtime's in-order response writing.
+// Tests for the sharded worker pool: content-hash affinity routing (path
+// loads included), admission control (bounded queues shed with a
+// structured `overloaded` error carrying retry_after_ms), deadline
+// shedding at dequeue and after the session mutex, drain semantics, the
+// shutdown fence, and trace ids in submission order.
 
 #include <chrono>
 #include <fstream>
 #include <future>
-#include <sstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "netlist/iscas89.hpp"
-#include "service/daemon.hpp"
 #include "service/session.hpp"
 #include "service/worker_pool.hpp"
 
@@ -228,101 +229,151 @@ TEST(ServiceWorkerPool, StatsIdentityHoldsAcrossEveryOutcomeClass) {
       << " shutdown=" << stats.shutdown_shed;
 }
 
-TEST(ServiceWorkerPool, PathLoadsSplitRoutingFromTheSessionTheyCreate) {
-  // Documented KNOWN MISS in route_shard: a path load routes on
-  // fnv1a64(path) because the content is not in hand at routing time, but
-  // the session it creates is keyed on the CONTENT hash — so later
-  // requests naming that session generally land on a different shard.
-  // This test quantifies the split and pins the contrast: text/circuit
-  // loads colocate with their session, path loads need not.
-  AnalysisService service;
-  WorkerPool pool(service, {.shards = 16, .queue_capacity = 32});
-  const unsigned n = 16;
-
+TEST(ServiceWorkerPool, PathLoadsRouteWithTheSessionTheyCreate) {
+  // A path load routes on the content hash of the file it names — the key
+  // of the session it creates — so the load and every later request on
+  // that session share a shard, at any shard count and whatever the path.
   const std::string text{netlist::s27_bench_text()};
   const std::string dir = ::testing::TempDir();
-
-  // Write the same netlist under several names and pick one whose path
-  // hash disagrees with the content hash modulo the shard count — with 16
-  // shards one of a handful of candidates always splits.
-  std::string split_path;
-  const std::uint64_t content_shard =
-      pool.route_shard(parse_ok(R"({"cmd":"load","format":"bench","text":)" +
-                                Json(text).dump() + "}"));
+  std::vector<std::string> paths;
   for (const char* name : {"a.bench", "b.bench", "c.bench", "d.bench",
                            "e.bench", "f.bench", "g.bench", "h.bench"}) {
-    const std::string candidate = dir + "/" + name;
-    if (fnv1a64(candidate) % n != content_shard) {
-      split_path = candidate;
-      break;
-    }
-  }
-  ASSERT_FALSE(split_path.empty());
-  {
-    std::ofstream out(split_path, std::ios::binary);
+    paths.push_back(dir + "/" + name);
+    std::ofstream out(paths.back(), std::ios::binary);
     out << text;
     ASSERT_TRUE(out.good());
   }
+  const std::string text_line =
+      R"({"cmd":"load","format":"bench","text":)" + Json(text).dump() + "}";
 
-  const std::string path_line =
-      R"({"cmd":"load","path":)" + Json(split_path).dump() + "}";
-  const unsigned path_shard = pool.route_shard(parse_ok(path_line));
-  EXPECT_EQ(path_shard, fnv1a64(split_path) % n);
+  for (const unsigned n : {2u, 3u, 8u, 16u}) {
+    AnalysisService service;
+    WorkerPool pool(service, {.shards = n, .queue_capacity = 32});
+    const unsigned text_shard = pool.route_shard(parse_ok(text_line));
+    std::string key;
+    for (const std::string& path : paths) {
+      const std::string path_line =
+          R"({"cmd":"load","path":)" + Json(path).dump() + "}";
+      const unsigned path_shard = pool.route_shard(parse_ok(path_line));
+      EXPECT_EQ(path_shard, text_shard) << path << " at " << n << " shards";
 
-  Response loaded = pool.submit(path_line).get();
-  ASSERT_TRUE(loaded.ok) << loaded.to_line();
-  const std::string key = loaded.body.find("session")->as_string();
-
-  // The split: the session's traffic routes on the content hash, not the
-  // path hash the load itself used.
-  const unsigned session_shard = pool.route_shard(
-      parse_ok(R"({"cmd":"analyze","session":")" + key + R"("})"));
-  EXPECT_EQ(session_shard, content_shard);
-  EXPECT_NE(session_shard, path_shard)
-      << "path " << split_path << " was chosen to split, but routed with "
-      << "its session — route_shard's path rule changed";
-
-  // Contrast: an inline-text load of the identical netlist colocates with
-  // the session, and dedups onto the same compiled plan either way.
-  Response by_text = pool
-                         .submit(R"({"cmd":"load","format":"bench","text":)" +
-                                 Json(text).dump() + "}")
-                         .get();
-  ASSERT_TRUE(by_text.ok) << by_text.to_line();
-  EXPECT_EQ(by_text.body.find("session")->as_string(), key);
-  EXPECT_EQ(service.store().size(), 1u);
-  pool.drain();
+      Response loaded = pool.submit(path_line).get();
+      ASSERT_TRUE(loaded.ok) << loaded.to_line();
+      key = loaded.body.find("session")->as_string();
+      EXPECT_EQ(pool.route_shard(parse_ok(R"({"cmd":"analyze","session":")" +
+                                          key + R"("})")),
+                path_shard);
+    }
+    // Identical content under every path: one session, one plan.
+    EXPECT_EQ(service.store().size(), 1u);
+    EXPECT_EQ(key, hash_key(load_content_hash("bench", text)));
+  }
 }
 
-TEST(ServiceDaemonPooled, ServeWritesResponsesInSubmissionOrder) {
-  // The pooled runtime completes requests out of order across shards but
-  // must write them back in submission order — same wire contract as the
-  // batch runtime.
-  std::string script;
-  script += R"({"id":0,"cmd":"load","circuit":"s27"})" "\n";
-  for (int i = 1; i <= 20; ++i) {
-    script += R"({"id":)" + std::to_string(i) + R"(,"cmd":"ping"})" "\n";
-  }
-  script += R"({"id":21,"cmd":"shutdown"})" "\n";
-  std::istringstream in(script);
-  std::ostringstream out;
+TEST(ServiceWorkerPool, UnreadablePathLoadStillAnswersIoError) {
+  // Routing cannot hash a file it cannot read: the load routes anywhere
+  // and its handler answers io_error — one executed request, books
+  // balanced.
   AnalysisService service;
-  const ServeReport report =
-      serve(in, out, service, {.workers = 4, .queue_capacity = 64});
+  WorkerPool pool(service, {.shards = 4, .queue_capacity = 8});
+  const Response r =
+      pool.submit(R"({"cmd":"load","path":"/nonexistent/dir/x.bench"})").get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error_code(), "io_error") << r.to_line();
+  pool.drain();
+  const WorkerPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.submitted, stats.resolved());
+}
 
-  EXPECT_TRUE(report.shutdown);
-  EXPECT_EQ(report.requests, 22u);
+TEST(ServiceWorkerPool, DeadlineIsRecheckedAfterWinningTheSessionMutex) {
+  // A request that was fresh at dequeue but burned its whole budget
+  // waiting on same-session mutex contention must be shed at execute
+  // start. It ran on a worker, so it counts as executed, not as a
+  // dequeue-time deadline shed.
+  AnalysisService service;
+  WorkerPool pool(service, {.shards = 2, .queue_capacity = 8});
+  const Response loaded = pool.submit(R"({"id":1,"cmd":"load","circuit":"s27"})").get();
+  ASSERT_TRUE(loaded.ok) << loaded.to_line();
+  const std::string key = loaded.body.find("session")->as_string();
+  const std::shared_ptr<Session> session = service.store().find(key);
+  ASSERT_NE(session, nullptr);
 
-  std::vector<std::string> replies;
-  std::istringstream echo(out.str());
-  for (std::string line; std::getline(echo, line);) replies.push_back(line);
-  ASSERT_EQ(replies.size(), 22u);
-  for (int i = 0; i < 22; ++i) {
-    EXPECT_NE(replies[static_cast<std::size_t>(i)].find(
-                  "\"id\":" + std::to_string(i)),
-              std::string::npos)
-        << replies[static_cast<std::size_t>(i)];
+  std::future<Response> contended;
+  {
+    // The test plays the long-running same-session request by holding the
+    // session mutex; the analyze passes the dequeue check, then blocks on
+    // the mutex until its deadline has certainly lapsed.
+    const std::lock_guard<std::mutex> hold(session->mutex);
+    contended = pool.submit(R"({"id":2,"cmd":"analyze","session":")" + key +
+                            R"(","deadline_ms":400})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(900));
   }
+  const Response r = contended.get();
+  EXPECT_FALSE(r.ok) << r.to_line();
+  EXPECT_EQ(r.error_code(), "deadline_exceeded");
+  const WorkerPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.executed, 2u);  // the load and the contended analyze
+  EXPECT_EQ(stats.deadline_shed, 0u);
+}
+
+TEST(ServiceWorkerPool, AssignsSequentialTraceIdsInSubmissionOrder) {
+  AnalysisService service;
+  WorkerPool pool(service, {.shards = 2, .queue_capacity = 16});
+  const Response first = pool.submit(R"({"id":1,"cmd":"ping"})").get();
+  const Response second = pool.submit(R"({"id":2,"cmd":"ping"})").get();
+  EXPECT_EQ(first.span.trace_id, 1u);
+  EXPECT_EQ(second.span.trace_id, 2u);
+  EXPECT_EQ(first.span.cmd, "ping");
+  EXPECT_GE(first.span.execute_ms, 0.0);
+  EXPECT_NE(first.to_line().find(R"("trace_id":"t-1")"), std::string::npos);
+
+  // Ids follow submission order, whatever order the shards finish in.
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(pool.submit(R"({"cmd":"ping"})"));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().span.trace_id, 3 + i);
+  }
+
+  // The direct execute path carries no trace id — and no "trace_id" key
+  // on the wire.
+  const Response direct = service.execute_line(R"({"cmd":"ping"})");
+  EXPECT_EQ(direct.span.trace_id, 0u);
+  EXPECT_EQ(direct.to_line().find("trace_id"), std::string::npos);
+}
+
+TEST(ServiceWorkerPool, AdmittedShutdownFencesLaterSubmits) {
+  AnalysisService service;
+  WorkerPool pool(service, {.shards = 4, .queue_capacity = 8});
+  std::future<Response> ping = pool.submit(R"({"id":1,"cmd":"ping"})");
+  std::future<Response> stop = pool.submit(R"({"id":2,"cmd":"shutdown"})");
+  EXPECT_FALSE(pool.accepting());
+  const Response late = pool.submit(R"({"id":3,"cmd":"ping"})").get();
+  EXPECT_EQ(late.error_code(), "overloaded");
+  EXPECT_TRUE(ping.get().ok);
+  EXPECT_TRUE(stop.get().ok);
+  pool.drain();
+  EXPECT_TRUE(service.shutdown_requested());
+  const WorkerPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.shutdown_shed, 1u);
+  EXPECT_EQ(stats.submitted, stats.resolved());
+}
+
+TEST(ServiceWorkerPool, AdmittedShutdownRunsEvenPastItsDeadline) {
+  // Admission closes when the shutdown is queued, so a shutdown shed at
+  // dequeue would stop the daemon without saying so. It always runs.
+  AnalysisService service;
+  WorkerPool pool(service, {.shards = 1, .queue_capacity = 8});
+  const auto long_ago = std::chrono::steady_clock::now() - std::chrono::seconds(30);
+  const Response stop =
+      pool.submit(R"({"id":1,"cmd":"shutdown","deadline_ms":5})", long_ago).get();
+  EXPECT_TRUE(stop.ok) << stop.to_line();
+  EXPECT_FALSE(pool.accepting());
+  pool.drain();
+  EXPECT_TRUE(service.shutdown_requested());
+  EXPECT_EQ(pool.stats().deadline_shed, 0u);
+  EXPECT_EQ(pool.stats().executed, 1u);
 }
 
 }  // namespace
